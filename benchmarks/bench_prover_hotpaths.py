@@ -49,7 +49,7 @@ from repro.curve.fixed_base import FixedBaseMSM  # noqa: E402
 from repro.curve.msm import _msm_jacobian, msm  # noqa: E402
 from repro.field import vector  # noqa: E402
 from repro.field.ntt import naive_ntt, ntt, ntt_many  # noqa: E402
-from repro.field.prime_field import BN254_FR_MODULUS, batch_inv_mod  # noqa: E402
+from repro.field.prime_field import BN254_FR_MODULUS  # noqa: E402
 from repro.groth16.prove import _compute_h, _compute_h_reference  # noqa: E402
 from repro.r1cs.system import R1CSInstance  # noqa: E402
 from repro.spartan.commitment import HyraxProver, generator_fixed_base  # noqa: E402
@@ -202,17 +202,19 @@ def bench_field(
 ) -> Dict[str, Dict[str, float]]:
     """Scalar vs vector field engine on equal inputs.
 
-    Elementwise metrics (``mulmod``/``addmod``/``batch_inv``) time the
+    Elementwise metrics (``mulmod``/``addmod``) time the
     kernels over pre-converted limb arrays — the amortised regime every
     integrated call site (quotient chain, sumcheck rounds) actually runs
     in.  ``ntt_many`` and ``matvec`` are list-in/list-out under each
     backend, i.e. they pay the vector engine's conversions;
     ``vector_matvec_limbs`` shows the conversion-free matvec rate.  When
-    no vector engine is available only the scalar metrics are recorded.
+    the native kernels are unavailable only the scalar metrics are
+    recorded.
     """
     rng = random.Random(0xF1E1D)
     out: Dict[str, Dict[str, float]] = {}
-    have_vec = bool(vector.available_impls())
+    vector.set_backend("auto")
+    have_vec = vector.enabled()
     for n in sizes:
         a = [rng.randrange(R) for _ in range(n)]
         b = [rng.randrange(1, R) for _ in range(n)]
@@ -247,9 +249,6 @@ def bench_field(
             entry["scalar_addmod_ops_per_sec"] = (iters * n) / _timed(
                 _loop(lambda: [(x + y) % R for x, y in zip(a, b)]), repeats
             )
-            entry["scalar_batch_inv_ops_per_sec"] = (iters * n) / _timed(
-                _loop(lambda: batch_inv_mod(b, R)), repeats
-            )
             entry["scalar_ntt_many_ops_per_sec"] = (NTT_BATCH * n) / _timed(
                 lambda: ntt_many(rows), repeats
             )
@@ -257,16 +256,13 @@ def bench_field(
                 _loop(lambda: flat.matvec(a)), repeats
             )
             if have_vec:
-                vector.set_backend("vector")
+                vector.set_backend("auto")
                 al, bl = vector.to_limbs(a), vector.to_limbs(b)
                 entry["vector_mulmod_ops_per_sec"] = (iters * n) / _timed(
                     _loop(lambda: vector.vec_mul(al, bl)), repeats
                 )
                 entry["vector_addmod_ops_per_sec"] = (iters * n) / _timed(
                     _loop(lambda: vector.vec_add(al, bl)), repeats
-                )
-                entry["vector_batch_inv_ops_per_sec"] = (iters * n) / _timed(
-                    _loop(lambda: vector.batch_inv(bl)), repeats
                 )
                 ntt_many(rows)  # warm the plan's vector kernels
                 entry["vector_ntt_many_ops_per_sec"] = (
@@ -354,7 +350,7 @@ def merge_baseline(path: str, results: Dict[str, object]) -> Dict[str, object]:
 def _host_meta(quick: bool) -> Dict[str, object]:
     """Host facts a comparison needs: ``cpu_count`` lets the regression
     gate demote process-pool deltas to warnings across differing core
-    counts; the backend/impl fields say which field engine produced the
+    counts; the backend field says which field engine produced the
     fast-path numbers."""
     try:
         import numpy
@@ -366,9 +362,8 @@ def _host_meta(quick: bool) -> Dict[str, object]:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "numpy": numpy_version,
+        "numpy_version": numpy_version,
         "field_backend": vector.get_backend(),
-        "field_impl": vector.active_impl(),
         "quick": quick,
     }
 

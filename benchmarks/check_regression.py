@@ -57,7 +57,6 @@ _GATED_METRICS = (
     "batched_ops_per_sec",
     "vector_mulmod_ops_per_sec",
     "vector_addmod_ops_per_sec",
-    "vector_batch_inv_ops_per_sec",
     "vector_ntt_many_ops_per_sec",
     "vector_matvec_ops_per_sec",
     "vector_matvec_limbs_ops_per_sec",

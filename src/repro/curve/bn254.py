@@ -487,6 +487,45 @@ def twist(point: Optional[Tuple[Fq2, Fq2]]) -> AffinePoint:
 
 
 # --------------------------------------------------------------------------
+# G2 subgroup membership.
+# --------------------------------------------------------------------------
+
+# BN parameter: p and r are polynomials in u.  The twist group has order
+# r * (2p - r), so an on-twist point need not lie in G2.  (G1 has cofactor
+# 1: every on-curve G1 point is in the prime-order group.)
+BN_U = 4965661367192848881
+_XI = Fq2([9, 1])
+_PSI_X = _XI ** ((P - 1) // 3)
+_PSI_Y = _XI ** ((P - 1) // 2)
+
+
+def _conj(a: Fq2) -> Fq2:
+    return Fq2([a.coeffs[0], -a.coeffs[1]])
+
+
+def g2_psi(point):
+    """The untwist-Frobenius-twist endomorphism
+    ``psi(x, y) = (conj(x) * xi^((p-1)/3), conj(y) * xi^((p-1)/2))``;
+    on G2 it acts as multiplication by ``p = 6u^2 (mod r)``."""
+    if point is None:
+        return None
+    x, y = point
+    return (_conj(x) * _PSI_X, _conj(y) * _PSI_Y)
+
+
+def is_in_g2(point) -> bool:
+    """Whether an on-twist point lies in the order-``r`` subgroup G2.
+
+    The BN test ``psi(Q) == [6u^2]Q`` (Scott, ePrint 2021/1130;
+    El Housni-Guillevic-Piellard, ePrint 2022/352): one 127-bit scalar
+    multiplication instead of the 254-bit ``[r]Q``.
+    """
+    if point is None:
+        return True
+    return g2_psi(point) == multiply(point, 6 * BN_U * BN_U)
+
+
+# --------------------------------------------------------------------------
 # Convenience wrappers used throughout the SNARK code.
 # --------------------------------------------------------------------------
 

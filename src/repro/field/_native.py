@@ -1,17 +1,14 @@
-"""Optional runtime-compiled C kernels for the vector field engine.
+"""Runtime-compiled C kernels for the vector field engine.
 
-The vector backend (:mod:`repro.field.vector`) is a numpy limb/digit engine;
-on hosts that also ship a C compiler the hottest kernels — 4x64 Montgomery
-multiply, modular add/sub, the radix-2 NTT butterfly sweep, and the CSR
-matvec — run instead through a tiny shared library compiled here at first
-use.  Nothing is ever installed: the source below is written to a per-user
-cache directory under the system tempdir, compiled with whatever ``cc``/
-``gcc``/``clang`` is on PATH, and loaded via :mod:`ctypes`.  Any failure
-(no compiler, sandboxed tempdir, broken toolchain) silently degrades to the
-pure-numpy engine; correctness never depends on this module.
-
-Set ``REPRO_FIELD_NATIVE=0`` to refuse the compiled path outright (the
-equivalence tests use this to pin the numpy engine).
+The vector backend (:mod:`repro.field.vector`) runs its hottest kernels —
+4x64 Montgomery multiply, modular add/sub, the radix-2 NTT butterfly
+sweep, and the CSR matvec — through a tiny shared library compiled here at
+first use.  Nothing is ever installed: the source below is written to a
+per-user cache directory under the system tempdir, compiled with whatever
+``cc``/``gcc``/``clang`` is on PATH, and loaded via :mod:`ctypes`.  Any
+failure (no compiler, sandboxed tempdir, broken toolchain) makes
+:func:`load` return ``None`` and the field code stays on its scalar
+big-int paths; correctness never depends on this module.
 
 Layout contract shared with :mod:`vector`: field elements travel as
 ``(n, 4)`` little-endian ``uint64`` limb arrays, canonical (``< p``) unless
@@ -301,8 +298,6 @@ def load() -> Optional[NativeFr]:
     if _TRIED:
         return _LOADED
     _TRIED = True
-    if os.environ.get("REPRO_FIELD_NATIVE", "").lower() in ("0", "off", "false"):
-        return None
     if sys.platform == "win32":  # no known-good default toolchain contract
         return None
     if sys.byteorder != "little":  # C kernels assume LE limb memory
@@ -318,10 +313,3 @@ def load() -> Optional[NativeFr]:
     except Exception:
         _LOADED = None
     return _LOADED
-
-
-def reset_for_tests() -> None:
-    """Forget the memoized load so env-var changes take effect."""
-    global _LOADED, _TRIED
-    _LOADED = None
-    _TRIED = False

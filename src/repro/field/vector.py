@@ -7,27 +7,17 @@ of Fr elements through each operation at once:
 * **Limb layout** — at every API boundary a vector of ``n`` elements is an
   ``(n, 4)`` little-endian ``uint64`` numpy array of canonical values
   (``< p``); ``to_limbs``/``from_limbs`` convert to and from Python ints.
-* **numpy engine** — elements are unpacked into 27-bit *signed digit*
-  arrays (``(11, n)`` int64: 10 value digits + 1 overflow digit).  Products
-  against fixed multipliers use Shoup-style digit tables
-  (``T[j][i]`` = digit ``i`` of ``w * 2**(27 j) mod p``), so a multiply is
-  one integer ``einsum`` plus a carry sweep — no per-element reduction.
-  Variable*variable products use digit convolution.  Lazy reduction: digits
-  drift up to ``+-2**35`` between sweeps (bounds are chosen so every int64
-  intermediate stays below ``2**63``), and one fold + Barrett pass per
-  vector canonicalizes at the end.
-* **native engine** — when a C compiler is available,
-  :mod:`repro.field._native` JIT-compiles 4x64 CIOS Montgomery kernels and
-  this module routes through them (fixed multipliers are pre-scaled by
-  ``2**256 mod p``, so data operands never leave canonical form).
+* **Kernels** — :mod:`repro.field._native` JIT-compiles 4x64 CIOS
+  Montgomery kernels with the system C compiler and this module routes
+  through them (fixed multipliers are pre-scaled by ``2**256 mod p``, so
+  data operands never leave canonical form).
 
 Backend selection: ``REPRO_FIELD_BACKEND`` picks ``scalar`` (pure Python
-big ints, always available), ``vector`` (this module), or ``auto`` (the
-default: vector when numpy imports, scalar otherwise).  Inside the vector
-backend the native engine is preferred when it compiles;
-``REPRO_FIELD_NATIVE=0`` pins the numpy engine.  Every kernel here has a
-scalar twin that remains the equivalence oracle, and all engines emit
-identical canonical integers — proofs are byte-identical across backends.
+big ints, always available) or ``auto`` (the default: the native kernels
+when numpy imports and they compile, scalar otherwise).  Every kernel here
+has a scalar twin that is both the fallback and the equivalence oracle,
+and both emit identical canonical integers — proofs are byte-identical
+across backends.
 """
 
 from __future__ import annotations
@@ -36,10 +26,9 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 from .prime_field import BN254_FR_MODULUS as P
-from .prime_field import inv_mod
 from . import _native
 
-try:  # numpy is optional: without it the vector backend simply disappears
+try:  # numpy is optional: without it the native backend simply disappears
     import numpy as np
 
     HAVE_NUMPY = True
@@ -49,9 +38,8 @@ except ImportError:  # pragma: no cover - exercised via the scalar CI job
 
 __all__ = [
     "HAVE_NUMPY",
-    "available_impls",
     "get_backend",
-    "active_impl",
+    "enabled",
     "set_backend",
     "to_limbs",
     "from_limbs",
@@ -60,11 +48,10 @@ __all__ = [
     "vec_mul",
     "vec_mul_scalar",
     "vec_sum",
-    "batch_inv",
     "prepare_multipliers",
     "vec_mul_prepared",
-    "make_ntt_kernel",
-    "make_csr_kernel",
+    "NTTKernel",
+    "CSRKernel",
     "NTT_MIN",
     "MATVEC_MIN_TERMS",
     "SUMCHECK_MIN_HALF",
@@ -72,100 +59,62 @@ __all__ = [
 
 R256 = pow(2, 256, P)
 
-# Digit engine geometry: 10 value digits of 27 bits cover 270 bits >= any
-# canonical (< 2**254) value; the 11th row absorbs sweep overflow.  27 bits
-# is the widest digit for which a full 11-row einsum against canonical
-# tables stays exact in int64 even after ~20 stages of lazy butterfly
-# growth (11 * 2**31.5 * 2**27 < 2**63).
-W = 27
-NV = 10
-K = NV + 1
-_MASK = (1 << W) - 1
-
 # Profitability floors (elements / nonzero terms / sumcheck half-size):
 # below these the Python<->array conversion overhead beats the kernel win.
 # Measured on the benchmark host: the sumcheck rounds call ~15 vector ops
-# per round, so their native break-even sits far above the NTT's, and the
-# numpy digit engine (which pays a digit unpack/repack per op) never wins
-# a sumcheck round at realistic sizes — it stays on the scalar kernels.
-NTT_MIN = {"native": 32, "numpy": 512}
-MATVEC_MIN_TERMS = {"native": 64, "numpy": 1024}
-SUMCHECK_MIN_HALF = {"native": 1024, "numpy": float("inf")}
+# per round, so their break-even sits far above the NTT's.
+NTT_MIN = 32
+MATVEC_MIN_TERMS = 64
+SUMCHECK_MIN_HALF = 1024
 
 
 # --------------------------------------------------------------------------
 # backend selection
 # --------------------------------------------------------------------------
 
-_state: dict = {"resolved": False, "backend": "scalar", "impl": None}
-
-
-def available_impls() -> Tuple[str, ...]:
-    """Vector-engine implementations usable on this host."""
-    impls = []
-    if HAVE_NUMPY:
-        if _native.load() is not None:
-            impls.append("native")
-        impls.append("numpy")
-    return tuple(impls)
+_state: dict = {"resolved": False, "backend": "scalar"}
 
 
 def _resolve() -> None:
     mode = os.environ.get("REPRO_FIELD_BACKEND", "auto").strip().lower()
-    if mode not in ("auto", "scalar", "vector", ""):
+    if mode not in ("auto", "scalar", ""):
         raise ValueError(
-            f"REPRO_FIELD_BACKEND={mode!r}: expected auto, scalar, or vector"
+            f"REPRO_FIELD_BACKEND={mode!r}: expected auto or scalar"
         )
-    _set_resolved(mode or "auto", None)
+    _set_resolved(mode or "auto")
 
 
-def _set_resolved(mode: str, impl: Optional[str]) -> None:
-    if mode == "scalar":
-        _state.update(resolved=True, backend="scalar", impl=None)
-        return
-    impls = available_impls()
-    if impl is not None:
-        if impl not in impls:
-            raise ValueError(f"vector impl {impl!r} unavailable (have {impls})")
-        _state.update(resolved=True, backend="vector", impl=impl)
-        return
-    if impls:
-        _state.update(resolved=True, backend="vector", impl=impls[0])
-    else:
-        # ``vector`` requested but impossible: degrade to scalar rather
-        # than fail — the scalar oracle is always correct.
-        _state.update(resolved=True, backend="scalar", impl=None)
+def _set_resolved(mode: str) -> None:
+    native = mode == "auto" and HAVE_NUMPY and _native.load() is not None
+    _state.update(resolved=True, backend="native" if native else "scalar")
 
 
 def get_backend() -> str:
-    """``"scalar"`` or ``"vector"`` (resolved lazily from the env)."""
+    """``"native"`` or ``"scalar"`` (resolved lazily from the env)."""
     if not _state["resolved"]:
         _resolve()
     return _state["backend"]
 
 
-def active_impl() -> Optional[str]:
-    """``"native"``/``"numpy"`` when the vector backend is active, else
-    ``None``.  Call sites treat this as the master gate."""
-    if not _state["resolved"]:
-        _resolve()
-    return _state["impl"]
+def enabled() -> bool:
+    """Whether the native kernels are engaged; call sites treat this as
+    the master gate."""
+    return get_backend() == "native"
 
 
-def set_backend(mode: Optional[str], impl: Optional[str] = None) -> None:
+def set_backend(mode: Optional[str]) -> None:
     """Force the backend at runtime (tests, benchmarks).
 
-    ``mode`` is ``"scalar"``, ``"vector"``, ``"auto"``, or ``None`` to
-    re-resolve from ``REPRO_FIELD_BACKEND``; ``impl`` optionally pins
-    ``"native"``/``"numpy"`` inside the vector backend.
+    ``mode`` is ``"scalar"``, ``"auto"``, or ``None`` to re-resolve from
+    ``REPRO_FIELD_BACKEND``.
     """
     if mode is None:
         _state["resolved"] = False
         return
     mode = mode.strip().lower()
-    if mode not in ("auto", "scalar", "vector"):
+    if mode not in ("auto", "scalar"):
         raise ValueError(f"unknown backend {mode!r}")
-    _set_resolved(mode, impl)
+    _set_resolved(mode)
 
 
 # --------------------------------------------------------------------------
@@ -192,306 +141,10 @@ def from_limbs(arr: "np.ndarray") -> List[int]:
     return [fb(buf[o : o + 32], "little") for o in range(0, len(buf), 32)]
 
 
-def _limbs_1(v: int) -> "np.ndarray":
-    return to_limbs([v])
-
-
 # --------------------------------------------------------------------------
-# numpy digit engine
+# elementwise ops (the native kernels must be loaded: callers gate on
+# enabled())
 # --------------------------------------------------------------------------
-
-def _int_digits(v: int, k: int = K) -> List[int]:
-    return [(v >> (W * j)) & _MASK for j in range(k)]
-
-
-class _DigitTables:
-    """Module-lazy constant tables for the digit engine."""
-
-    def __init__(self) -> None:
-        i64 = np.int64
-        self.P_DIG = np.array(_int_digits(P, NV), dtype=i64)[:, None]
-        # Digit rows of 2**(270 + 27 h) mod p, h = 0..9: folds the digit
-        # convolution's high half back under 2**285.
-        self.FOLD = np.array(
-            [_int_digits(pow(2, W * (NV + h), P), NV) for h in range(NV)],
-            dtype=i64,
-        )
-        self.F270 = np.ascontiguousarray(self.FOLD[0])[:, None]
-        self.F297 = np.array(
-            _int_digits(pow(2, W * NV + W, P), NV), dtype=i64
-        )[:, None]
-        # NEG_PAD: a multiple of p whose digits all exceed 2**35 — adding
-        # it makes any digit vector with |digit| < 2**35 nonnegative
-        # without changing the value mod p.
-        base = [1 << 35] * K
-        corr = _int_digits(
-            (-sum(b << (W * i) for i, b in enumerate(base))) % P, K
-        )
-        self.NEG_PAD = np.array(
-            [b + c for b, c in zip(base, corr)], dtype=i64
-        )[:, None]
-        # Barrett: for v < 2**271, q_hat = ((v >> 240) * MU) >> 33 with
-        # MU = floor(2**273 / p) satisfies q - 2 <= q_hat <= q = v // p,
-        # so v - q_hat * p < 3p.  All products stay below 2**51.
-        self.MU = np.int64((1 << 273) // P)
-        # NB: not ``to_limbs([P])`` — that would reduce p to 0.
-        self.P_LIMBS = np.frombuffer(
-            P.to_bytes(32, "little"), dtype="<u8"
-        ).copy()
-
-
-_tables: Optional[_DigitTables] = None
-
-
-def _dt() -> _DigitTables:
-    global _tables
-    if _tables is None:
-        _tables = _DigitTables()
-    return _tables
-
-
-def limbs_to_digits(arr: "np.ndarray") -> "np.ndarray":
-    """``(n, 4)`` canonical limbs -> ``(K, n)`` canonical digit rows."""
-    words = np.ascontiguousarray(arr.T)  # (4, n) uint64
-    out = np.zeros((K, arr.shape[0]), dtype=np.uint64)
-    for j in range(NV):
-        bit = W * j
-        wi, off = bit >> 6, bit & 63
-        limb = words[wi] >> np.uint64(off)
-        if off + W > 64 and wi + 1 < 4:
-            limb |= words[wi + 1] << np.uint64(64 - off)
-        out[j] = limb & np.uint64(_MASK)
-    return out.view(np.int64)
-
-
-def _sweep(t: "np.ndarray") -> None:
-    """Carry-propagate digit rows in place (signed: arithmetic shift)."""
-    w = np.int64(W)
-    m = np.int64(_MASK)
-    for i in range(t.shape[0] - 1):
-        t[i + 1] += t[i] >> w
-        t[i] &= m
-
-
-def _swept_digits_to_limbs(t: "np.ndarray") -> "np.ndarray":
-    """Canonicalize swept nonnegative digits (value < 2**306) to limbs.
-
-    ``t`` is ``(K, n)`` with rows 0..9 canonical and ``t[10] < 2**36``.
-    Fold the overflow digit (split into two 27-bit halves so every int64
-    product stays small), sweep, fold the residual overflow once more,
-    then one Barrett round and at most two conditional subtracts.
-    """
-    dt = _dt()
-    c = t[NV].copy()
-    t[NV] = 0
-    t[:NV] += (c & np.int64(_MASK)) * dt.F270
-    t[:NV] += (c >> np.int64(W)) * dt.F297
-    _sweep(t)  # value < 2**282 -> t[10] < 2**12
-    c = t[NV].copy()
-    t[NV] = 0
-    t[:NV] += c * dt.F270
-    _sweep(t)  # value < 2**271, t[10] <= 1
-    # Barrett: v_top = v >> 240 exactly, from digits 8..10.
-    v_top = (t[8] >> np.int64(24)) | (t[9] << np.int64(3)) | (
-        t[NV] << np.int64(30)
-    )
-    q = (v_top * dt.MU) >> np.int64(33)
-    t[NV] = 0
-    t[:NV] -= q * dt.P_DIG
-    _sweep(t)  # value < 3p < 2**256: rows canonical, t[10] == 0
-    tu = t.view(np.uint64)
-    words = np.zeros((4, t.shape[1]), dtype=np.uint64)
-    for j in range(NV):
-        bit = W * j
-        wi, off = bit >> 6, bit & 63
-        words[wi] |= tu[j] << np.uint64(off)
-        if off + W > 64 and wi + 1 < 4:
-            words[wi + 1] |= tu[j] >> np.uint64(64 - off)
-    out = np.ascontiguousarray(words.T)
-    _cond_sub_p(out)
-    _cond_sub_p(out)
-    return out
-
-
-def signed_digits_to_limbs(t: "np.ndarray") -> "np.ndarray":
-    """Canonicalize signed digit rows (``|digit| < 2**35``) to limbs."""
-    t = t + _dt().NEG_PAD
-    _sweep(t)
-    return _swept_digits_to_limbs(t)
-
-
-def _geq_p(arr: "np.ndarray") -> "np.ndarray":
-    """Boolean mask of rows (lexicographic, top limb first) with value >= p."""
-    pl = _dt().P_LIMBS
-    n = arr.shape[0]
-    ge = np.zeros(n, dtype=bool)
-    decided = np.zeros(n, dtype=bool)
-    for i in (3, 2, 1, 0):
-        col = arr[:, i]
-        gt = col > pl[i]
-        lt = col < pl[i]
-        ge |= gt & ~decided
-        decided |= gt | lt
-    ge |= ~decided  # exactly p counts as >= p
-    return ge
-
-
-def _borrow_sub(a: "np.ndarray", b_row: "np.ndarray", mask) -> None:
-    """``a[mask] -= b_row`` over (n, 4) uint64 rows, borrow-propagated."""
-    sel = a[mask].view(np.int64)
-    # Split into 32-bit halves so borrows fit signed int64.
-    lo = (sel & np.int64(0xFFFFFFFF)).astype(np.int64)
-    hi = (sel >> np.int64(32)) & np.int64(0xFFFFFFFF)
-    halves = np.empty((lo.shape[0], 8), dtype=np.int64)
-    halves[:, 0::2] = lo
-    halves[:, 1::2] = hi
-    bl = [(int(b_row[i]) >> s) & 0xFFFFFFFF for i in range(4) for s in (0, 32)]
-    halves -= np.array(bl, dtype=np.int64)
-    for i in range(7):
-        halves[:, i + 1] += halves[:, i] >> np.int64(32)
-        halves[:, i] &= np.int64(0xFFFFFFFF)
-    halves[:, 7] &= np.int64(0xFFFFFFFF)
-    out = halves[:, 0::2].view(np.uint64) | (
-        halves[:, 1::2].view(np.uint64) << np.uint64(32)
-    )
-    a[mask] = out
-
-
-def _cond_sub_p(arr: "np.ndarray") -> None:
-    mask = _geq_p(arr)
-    if mask.any():
-        _borrow_sub(arr, _dt().P_LIMBS, mask)
-
-
-def _np_add(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    # 32-bit halves: sums <= 2**33 + carries, no uint64 overflow possible.
-    m32 = np.uint64(0xFFFFFFFF)
-    s32 = np.uint64(32)
-    halves = np.empty((a.shape[0], 8), dtype=np.uint64)
-    halves[:, 0::2] = (a & m32) + (b & m32)
-    halves[:, 1::2] = (a >> s32) + (b >> s32)
-    for i in range(7):
-        halves[:, i + 1] += halves[:, i] >> s32
-        halves[:, i] &= m32
-    halves[:, 7] &= m32  # a + b < 2p < 2**255: the top carry is zero
-    out = halves[:, 0::2] | (halves[:, 1::2] << s32)
-    _cond_sub_p(out)
-    return out
-
-
-def _np_sub(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    lo = ((a & np.uint64(0xFFFFFFFF)).view(np.int64)
-          - (b & np.uint64(0xFFFFFFFF)).view(np.int64))
-    hi = ((a >> np.uint64(32)).view(np.int64)
-          - (b >> np.uint64(32)).view(np.int64))
-    halves = np.empty((a.shape[0], 8), dtype=np.int64)
-    halves[:, 0::2] = lo
-    halves[:, 1::2] = hi
-    for i in range(7):
-        halves[:, i + 1] += halves[:, i] >> np.int64(32)
-        halves[:, i] &= np.int64(0xFFFFFFFF)
-    neg = halves[:, 7] >> np.int64(32) != 0  # borrow out: a < b
-    halves[:, 7] &= np.int64(0xFFFFFFFF)
-    out = halves[:, 0::2].view(np.uint64) | (
-        halves[:, 1::2].view(np.uint64) << np.uint64(32)
-    )
-    if neg.any():
-        # add p back where the difference went negative
-        pl = _dt().P_LIMBS
-        sel = out[neg]
-        m32 = np.uint64(0xFFFFFFFF)
-        s32 = np.uint64(32)
-        h = np.empty((sel.shape[0], 8), dtype=np.uint64)
-        h[:, 0::2] = (sel & m32) + (pl & m32)
-        h[:, 1::2] = (sel >> s32) + (pl >> s32)
-        for i in range(7):
-            h[:, i + 1] += h[:, i] >> s32
-            h[:, i] &= m32
-        h[:, 7] &= m32
-        out[neg] = h[:, 0::2] | (h[:, 1::2] << s32)
-    return out
-
-
-def _digit_conv(xd: "np.ndarray", yd: "np.ndarray") -> "np.ndarray":
-    """Digit-space product of two canonical digit vectors.
-
-    Returns swept nonnegative ``(K, n)`` digits with value < 2**285 and
-    ``t[10] < 2**15`` — ready for :func:`_swept_digits_to_limbs`.
-    """
-    n = xd.shape[1]
-    t = np.zeros((2 * NV, n), dtype=np.int64)
-    for j in range(NV):
-        # products <= (2**27)**2, at most 10 accumulate: < 2**58 — exact.
-        t[j : j + NV] += xd[j] * yd[:NV]
-    _sweep(t)
-    dt = _dt()
-    # fold rows 10..19 (weights 2**270..2**513) back onto rows 0..9
-    low = t[:NV]
-    low += np.einsum("hl,hi->il", t[NV:], dt.FOLD)
-    out = np.empty((K, n), dtype=np.int64)
-    out[:NV] = low
-    out[NV] = 0
-    _sweep(out)
-    return out
-
-
-def _np_mul(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
-    return _swept_digits_to_limbs(
-        _digit_conv(limbs_to_digits(a), limbs_to_digits(b))
-    )
-
-
-def shoup_table(w: int) -> "np.ndarray":
-    """``(K, NV)`` digit table of the fixed multiplier ``w``:
-    row ``j`` holds the digits of ``w * 2**(27 j) mod p``."""
-    return np.array(
-        [_int_digits(w * pow(2, W * j, P) % P, NV) for j in range(K)],
-        dtype=np.int64,
-    )
-
-
-def shoup_tables(ws: Sequence[int]) -> "np.ndarray":
-    """Stacked ``(K, NV, m)`` tables for ``m`` fixed multipliers."""
-    m = len(ws)
-    out = np.empty((K, NV, m), dtype=np.int64)
-    for idx, w in enumerate(ws):
-        out[:, :, idx] = shoup_table(w)
-    return out
-
-
-def digit_mul_table(
-    xd: "np.ndarray", table: "np.ndarray", out: Optional["np.ndarray"] = None
-) -> "np.ndarray":
-    """Multiply digit rows by per-lane Shoup tables and sweep.
-
-    ``xd`` is ``(K, n)`` (signed lazy, ``|digit| < 2**31.5``); ``table`` is
-    ``(K, NV, n)`` per-lane or ``(K, NV)`` shared.  Every product sum is
-    bounded by ``11 * 2**31.5 * 2**27 < 2**63``.  Returns swept digits.
-    """
-    n = xd.shape[1]
-    if out is None:
-        out = np.empty((K, n), dtype=np.int64)
-    if table.ndim == 2:
-        np.einsum("jl,ji->il", xd, table, out=out[:NV])
-    else:
-        np.einsum("jl,jil->il", xd, table, out=out[:NV])
-    out[NV] = 0
-    _sweep(out)
-    return out
-
-
-def _np_mul_scalar(a: "np.ndarray", s: int) -> "np.ndarray":
-    t = digit_mul_table(limbs_to_digits(a), shoup_table(s % P))
-    return _swept_digits_to_limbs(t)
-
-
-# --------------------------------------------------------------------------
-# public elementwise ops (dispatch on the active engine)
-# --------------------------------------------------------------------------
-
-def _native_lib() -> Optional[_native.NativeFr]:
-    return _native.load()
-
 
 def _out_like(a: "np.ndarray") -> "np.ndarray":
     return np.empty(a.shape, dtype=np.uint64)
@@ -504,76 +157,59 @@ def _c(a: "np.ndarray") -> "np.ndarray":
 
 def vec_add(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
     """Elementwise ``(a + b) mod p`` over canonical limb arrays."""
-    if active_impl() == "native":
-        nat = _native_lib()
-        a, b = _c(a), _c(b)
-        r = _out_like(a)
-        nat.vec_add(nat.uptr(a), nat.uptr(b), nat.uptr(r), a.shape[0])
-        return r
-    return _np_add(a, b)
+    nat = _native.load()
+    a, b = _c(a), _c(b)
+    r = _out_like(a)
+    nat.vec_add(nat.uptr(a), nat.uptr(b), nat.uptr(r), a.shape[0])
+    return r
 
 
 def vec_sub(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
     """Elementwise ``(a - b) mod p``."""
-    if active_impl() == "native":
-        nat = _native_lib()
-        a, b = _c(a), _c(b)
-        r = _out_like(a)
-        nat.vec_sub(nat.uptr(a), nat.uptr(b), nat.uptr(r), a.shape[0])
-        return r
-    return _np_sub(a, b)
+    nat = _native.load()
+    a, b = _c(a), _c(b)
+    r = _out_like(a)
+    nat.vec_sub(nat.uptr(a), nat.uptr(b), nat.uptr(r), a.shape[0])
+    return r
 
 
 def prepare_multipliers(ws: Sequence[int]) -> "np.ndarray":
-    """Precondition fixed multipliers for :func:`vec_mul_prepared`.
-
-    Native engine: Montgomery form limbs; numpy engine: canonical limbs
-    (the digit convolution needs no preconditioning).
-    """
-    if active_impl() == "native":
-        return to_limbs([w % P * R256 % P for w in ws])
-    return to_limbs(ws)
+    """Precondition fixed multipliers for :func:`vec_mul_prepared`
+    (Montgomery form limbs)."""
+    return to_limbs([w % P * R256 % P for w in ws])
 
 
 def vec_mul_prepared(a: "np.ndarray", prep: "np.ndarray") -> "np.ndarray":
     """Elementwise ``a * w`` against multipliers from
-    :func:`prepare_multipliers` (built under the same active engine)."""
-    if active_impl() == "native":
-        nat = _native_lib()
-        a, prep = _c(a), _c(prep)
-        r = _out_like(a)
-        nat.vec_mul(nat.uptr(a), nat.uptr(prep), nat.uptr(r), a.shape[0])
-        return r
-    return _np_mul(a, prep)
+    :func:`prepare_multipliers`."""
+    nat = _native.load()
+    a, prep = _c(a), _c(prep)
+    r = _out_like(a)
+    nat.vec_mul(nat.uptr(a), nat.uptr(prep), nat.uptr(r), a.shape[0])
+    return r
 
 
 def vec_mul(a: "np.ndarray", b: "np.ndarray") -> "np.ndarray":
     """Elementwise ``(a * b) mod p`` over canonical limb arrays."""
-    if active_impl() == "native":
-        nat = _native_lib()
-        a, b = _c(a), _c(b)
-        # Scale b into Montgomery form with one extra pass (b * R^2 / R).
-        r2 = to_limbs([R256 * R256 % P])
-        b_mont = _out_like(b)
-        nat.vec_mul_scalar(
-            nat.uptr(b), nat.uptr(r2), nat.uptr(b_mont), b.shape[0]
-        )
-        r = _out_like(a)
-        nat.vec_mul(nat.uptr(a), nat.uptr(b_mont), nat.uptr(r), a.shape[0])
-        return r
-    return _np_mul(a, b)
+    nat = _native.load()
+    a, b = _c(a), _c(b)
+    # Scale b into Montgomery form with one extra pass (b * R^2 / R).
+    r2 = to_limbs([R256 * R256 % P])
+    b_mont = _out_like(b)
+    nat.vec_mul_scalar(nat.uptr(b), nat.uptr(r2), nat.uptr(b_mont), b.shape[0])
+    r = _out_like(a)
+    nat.vec_mul(nat.uptr(a), nat.uptr(b_mont), nat.uptr(r), a.shape[0])
+    return r
 
 
 def vec_mul_scalar(a: "np.ndarray", s: int) -> "np.ndarray":
     """Elementwise ``a * s mod p`` for one Python-int multiplier."""
-    if active_impl() == "native":
-        nat = _native_lib()
-        a = _c(a)
-        s_mont = to_limbs([s % P * R256 % P])
-        r = _out_like(a)
-        nat.vec_mul_scalar(nat.uptr(a), nat.uptr(s_mont), nat.uptr(r), a.shape[0])
-        return r
-    return _np_mul_scalar(a, s)
+    nat = _native.load()
+    a = _c(a)
+    s_mont = to_limbs([s % P * R256 % P])
+    r = _out_like(a)
+    nat.vec_mul_scalar(nat.uptr(a), nat.uptr(s_mont), nat.uptr(r), a.shape[0])
+    return r
 
 
 def vec_sum(a: "np.ndarray") -> int:
@@ -588,45 +224,12 @@ def vec_sum(a: "np.ndarray") -> int:
     return total % P
 
 
-def batch_inv(a: "np.ndarray") -> "np.ndarray":
-    """Batched inversion via a product tree: 1 scalar inversion plus
-    ``O(n)`` vector multiplies.  Raises ``ZeroDivisionError`` on zero
-    lanes, matching :func:`repro.field.prime_field.batch_inv_mod`."""
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    if not a.any(axis=1).all():
-        raise ZeroDivisionError("batch inverse of 0 in prime field")
-    levels = []
-    cur = a
-    while cur.shape[0] > 1:
-        m = cur.shape[0] // 2
-        left, right = cur[: 2 * m : 2], cur[1 : 2 * m : 2]
-        nxt = vec_mul(left, right)
-        if cur.shape[0] & 1:
-            nxt = np.concatenate([nxt, cur[-1:]])
-        levels.append(cur)
-        cur = nxt
-    root_inv = inv_mod(from_limbs(cur)[0], P)
-    inv = to_limbs([root_inv])
-    for cur in reversed(levels):
-        m = cur.shape[0] // 2
-        left, right = cur[: 2 * m : 2], cur[1 : 2 * m : 2]
-        pair_inv = inv[:m]
-        out = np.empty_like(cur)
-        out[: 2 * m : 2] = vec_mul(pair_inv, right)
-        out[1 : 2 * m : 2] = vec_mul(pair_inv, left)
-        if cur.shape[0] & 1:
-            out[-1:] = inv[m : m + 1]
-        inv = out
-    return inv
-
-
 # --------------------------------------------------------------------------
-# NTT kernels (stage loops; plan orchestration lives in field.ntt)
+# NTT and CSR matvec kernels (plan orchestration lives in field.ntt and
+# r1cs.system, which build these only while the backend is enabled)
 # --------------------------------------------------------------------------
 
-class _NativeNTT:
+class NTTKernel:
     """Stage-concatenated Montgomery twiddles + the C butterfly sweep."""
 
     def __init__(self, stages: Sequence[Tuple[int, int, Sequence[int]]]):
@@ -646,55 +249,9 @@ class _NativeNTT:
         return x
 
 
-class _DigitNTT:
-    """Per-stage broadcast Shoup digit tables + einsum butterflies."""
+class CSRKernel:
+    """Montgomery-form coefficients + the C row-by-row matvec."""
 
-    def __init__(self, stages: Sequence[Tuple[int, int, Sequence[int]]]):
-        self.stages = [
-            (length, half, shoup_tables(tw) if half > 1 else None)
-            for (length, half, tw) in stages
-        ]
-
-    def run_limbs(self, x: "np.ndarray") -> "np.ndarray":
-        """Transform bit-rev-loaded ``(n, 4)`` limbs; returns fresh limbs."""
-        d = limbs_to_digits(x)  # (K, n)
-        for (length, half, table) in self.stages:
-            v = d.reshape(K, -1, length)
-            e = v[:, :, :half]
-            o = v[:, :, half:]
-            if table is None:  # stage 0: twiddle is 1
-                enew = e + o
-                np.subtract(e, o, out=v[:, :, half:])
-                v[:, :, :half] = enew
-                continue
-            t = np.empty_like(o)
-            np.einsum("jgk,jik->igk", o, table, out=t[:NV])
-            t[NV] = 0
-            w = np.int64(W)
-            m = np.int64(_MASK)
-            for i in range(K - 1):
-                t[i + 1] += t[i] >> w
-                t[i] &= m
-            np.subtract(e, t, out=v[:, :, half:])
-            e += t
-        return signed_digits_to_limbs(d)
-
-
-def make_ntt_kernel(stages):
-    """Stage kernel for the active engine, or ``None`` under scalar."""
-    impl = active_impl()
-    if impl == "native":
-        return _NativeNTT(stages)
-    if impl == "numpy":
-        return _DigitNTT(stages)
-    return None
-
-
-# --------------------------------------------------------------------------
-# CSR matvec kernels
-# --------------------------------------------------------------------------
-
-class _NativeCSR:
     def __init__(self, wires, coeffs, row_ptr):
         self.wires = np.asarray(wires, dtype=np.int64)
         self.row_ptr = np.asarray(row_ptr, dtype=np.int64)
@@ -717,58 +274,3 @@ class _NativeCSR:
         return out
 
 
-class _DigitCSR:
-    """Gathered digit products + ``reduceat`` row sums.
-
-    The coefficients are fixed per matrix, so below ``_MAX_TABLE_TERMS``
-    nonzeros each term gets a Shoup digit table (the same trick as the NTT
-    twiddles): the per-term product is one ``einsum`` over near-canonical
-    digits instead of a full digit convolution — measured ~2x faster.  The
-    tables cost ``K * NV * 8`` bytes per nonzero, so very large matrices
-    fall back to the tableless convolution.  Either way the per-term
-    products are swept before the row reduction, so rows of ~2**35 (table
-    path) / ~2**21 (convolution path) nonzeros reduce exactly in int64 —
-    far beyond any realistic constraint row.
-    """
-
-    _MAX_TABLE_TERMS = 1 << 20  # ~880 MB of tables; beyond this, convolve
-
-    def __init__(self, wires, coeffs, row_ptr):
-        self.wires = np.asarray(wires, dtype=np.intp)
-        self.row_ptr = np.asarray(row_ptr, dtype=np.intp)
-        if len(coeffs) <= self._MAX_TABLE_TERMS:
-            self.coeff_tables = shoup_tables(coeffs)
-            self.coeff_digits = None
-        else:  # pragma: no cover - exercised only by huge instances
-            self.coeff_tables = None
-            self.coeff_digits = limbs_to_digits(to_limbs(coeffs))
-        self.rows = len(row_ptr) - 1
-
-    def matvec_limbs(self, z: "np.ndarray") -> "np.ndarray":
-        zd = limbs_to_digits(z)
-        xd = zd[:, self.wires]
-        if self.coeff_tables is not None:
-            terms = digit_mul_table(xd, self.coeff_tables)
-        else:  # pragma: no cover
-            terms = _digit_conv(xd, self.coeff_digits)
-        # ``reduceat`` over the non-empty rows only: empty rows would make
-        # it echo a stray term (or index out of bounds at the tail), and
-        # consecutive non-empty starts already delimit each segment.
-        sums = np.zeros((K, self.rows), dtype=np.int64)
-        nonempty = self.row_ptr[:-1] < self.row_ptr[1:]
-        if nonempty.any():
-            sums[:, nonempty] = np.add.reduceat(
-                terms, self.row_ptr[:-1][nonempty], axis=1
-            )
-        _sweep(sums)
-        return _swept_digits_to_limbs(sums)
-
-
-def make_csr_kernel(wires, coeffs, row_ptr):
-    """CSR matvec kernel for the active engine, or ``None`` under scalar."""
-    impl = active_impl()
-    if impl == "native":
-        return _NativeCSR(wires, coeffs, row_ptr)
-    if impl == "numpy":
-        return _DigitCSR(wires, coeffs, row_ptr)
-    return None

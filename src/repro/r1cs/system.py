@@ -54,26 +54,22 @@ class FlatR1CS:
         self.wires = wires
         self.coeffs = coeffs
         self.row_ptr = row_ptr
-        self._vec: Dict[str, object] = {}
+        self._vec = None
 
     @property
     def num_rows(self) -> int:
         return len(self.row_ptr) - 1
 
     def vec_kernel(self):
-        """CSR kernel for the active vector engine, or ``None`` when the
-        scalar backend is active or the matrix is below the engine's
-        profitability floor.  Cached per implementation; dropping the
-        :class:`FlatR1CS` (``invalidate_flat_cache``) drops the kernels."""
-        impl = _vector.active_impl()
-        if impl is None or len(self.wires) < _vector.MATVEC_MIN_TERMS[impl]:
+        """CSR kernel for the vector engine, or ``None`` when the scalar
+        backend is active or the matrix is below the engine's
+        profitability floor.  Cached; dropping the :class:`FlatR1CS`
+        (``invalidate_flat_cache``) drops the kernel."""
+        if not _vector.enabled() or len(self.wires) < _vector.MATVEC_MIN_TERMS:
             return None
-        kern = self._vec.get(impl)
-        if kern is None:
-            kern = self._vec[impl] = _vector.make_csr_kernel(
-                self.wires, self.coeffs, self.row_ptr
-            )
-        return kern
+        if self._vec is None:
+            self._vec = _vector.CSRKernel(self.wires, self.coeffs, self.row_ptr)
+        return self._vec
 
     def matvec_limbs(self, z_limbs):
         """Limb-domain matvec over a pre-converted ``(num_wires, 4)``

@@ -9,10 +9,11 @@ property tests live in ``tests/test_serialize.py``.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .core.errors import CorruptEnvelope
-from .curve.bn254 import AffinePoint, is_on_curve
+from .curve.bn254 import B2, AffinePoint, is_in_g2, is_on_curve
 from .field.extension import Fq2
 from .field.prime_field import BN254_FQ_MODULUS, BN254_FR_MODULUS
 from .groth16.keys import Groth16Keypair, Proof, ProvingKey, VerifyingKey
@@ -90,18 +91,27 @@ def g2_to_bytes(point) -> bytes:
 def g2_from_bytes(data: bytes):
     if len(data) != 128:
         raise SerializationError("G2 point must be 128 bytes")
+    return _g2_decode(bytes(data))
+
+
+@lru_cache(maxsize=4096)
+def _g2_decode(data: bytes):
+    """Memoized on the exact encoding: the subgroup check costs a 127-bit
+    G2 scalar multiplication, and the same VK and keypair points are
+    decoded again and again (one detached verifier per request).  Only
+    accepted points are cached; a rejection raises every time."""
     if data == b"\x00" * 128:
         return None
     coords = [int.from_bytes(data[i:i + 32], "big") for i in range(0, 128, 32)]
     if any(c >= Q for c in coords):
         raise SerializationError("G2 coordinate not reduced")
-    x = Fq2(coords[:2])
-    y = Fq2(coords[2:])
-    from .curve.bn254 import B2
-
-    point = (x, y)
+    point = (Fq2(coords[:2]), Fq2(coords[2:]))
     if not is_on_curve(point, B2):
         raise SerializationError("G2 point not on twist")
+    # The twist has a large cofactor: on-twist is not enough.  (G1 has
+    # cofactor 1, so g1_from_bytes' on-curve check is already complete.)
+    if not is_in_g2(point):
+        raise SerializationError("G2 point not in the prime-order subgroup")
     return point
 
 

@@ -13,6 +13,8 @@ from repro.curve.bn254 import (
     g1_generator,
     g1_sum,
     g2_generator,
+    g2_psi,
+    is_in_g2,
     is_on_curve,
     multiply,
     neg,
@@ -125,3 +127,44 @@ class TestHelpers:
         assert point_to_bytes(G1) != point_to_bytes(multiply(G1, 2))
         assert point_to_bytes(None) == b"\x00" * 64
         assert len(point_to_bytes(G2)) == 128
+
+
+class TestG2Subgroup:
+    """``is_in_g2`` against the unreduced ``[r]Q == O`` oracle."""
+
+    def test_off_subgroup_points_rejected(self):
+        from itertools import islice
+
+        from _curveutil import twist_points, unreduced_mul
+
+        for q in islice(twist_points(), 3):
+            assert unreduced_mul(q, CURVE_ORDER) is not None
+            assert not is_in_g2(q)
+
+    def test_subgroup_points_accepted(self):
+        from itertools import islice
+
+        from _curveutil import TWIST_COFACTOR, twist_points, unreduced_mul
+
+        assert is_in_g2(G2) and is_in_g2(None)
+        assert is_in_g2(multiply(G2, 0xC0FFEE))
+        # cofactor clearing maps any twist point into G2
+        for q in islice(twist_points(50), 2):
+            cleared = unreduced_mul(q, TWIST_COFACTOR)
+            assert unreduced_mul(cleared, CURVE_ORDER) is None
+            assert is_in_g2(cleared)
+
+    def test_small_torsion_rejected(self):
+        """A point of order 10069 (the twist's small cofactor prime), alone
+        and added to a G2 point, fails the test."""
+        from _curveutil import TWIST_COFACTOR, off_subgroup_g2, unreduced_mul
+
+        t = unreduced_mul(off_subgroup_g2(), TWIST_COFACTOR // 10069 * CURVE_ORDER)
+        assert t is not None and unreduced_mul(t, 10069) is None
+        assert not is_in_g2(t)
+        assert not is_in_g2(add(t, multiply(G2, 99)))
+
+    def test_psi_acts_as_p_on_g2(self):
+        from repro.field.extension import P
+
+        assert g2_psi(G2) == multiply(G2, P % CURVE_ORDER)

@@ -170,6 +170,83 @@ class TestKeyMaterialFuzz:
         assert rejected > 100
 
 
+class TestOffSubgroupG2:
+    """Algebraic corpus: an on-twist point ``Q`` outside G2 (``[r]Q != O``
+    by unreduced double-and-add) substituted for every G2 element of a
+    proof, a VK and a keypair.  Each decode site must reject it, and a
+    bundle carrying it must verify ``False``."""
+
+    @pytest.fixture(scope="class")
+    def material(self):
+        from _curveutil import off_subgroup_g2
+
+        registry, keystore = fresh_stores()
+        prover = MatmulProver(
+            2, 2, 2, backend="groth16", registry=registry, keystore=keystore
+        )
+        bundle = prover.prove(*rand_mats(2, 2, 2, seed=14))
+        keypair = prover._artifacts().keypair
+        return prover.verifier(), bundle, keypair, off_subgroup_g2()
+
+    @staticmethod
+    def substitutions(blob: bytes, points, q):
+        """``blob`` with each distinct encoded G2 point of ``points``
+        replaced (first occurrence) by the encoding of ``q``."""
+        bad = serialize.g2_to_bytes(q)
+        seen = set()
+        for point in points:
+            enc = serialize.g2_to_bytes(point)
+            if point is None or enc in seen:
+                continue
+            seen.add(enc)
+            i = blob.index(enc)
+            yield blob[:i] + bad + blob[i + len(enc):]
+
+    def test_point_on_twist_but_rejected(self, material):
+        from repro.curve.bn254 import B2, is_on_curve
+
+        *_, q = material
+        assert is_on_curve(q, B2)
+        with pytest.raises(serialize.SerializationError, match="subgroup"):
+            serialize.g2_from_bytes(serialize.g2_to_bytes(q))
+
+    def test_proof_pi_b(self, material):
+        verifier, bundle, _, q = material
+        blob = serialize.groth16_proof_to_bytes(bundle.proof)
+        (mutant,) = self.substitutions(blob, [bundle.proof.b], q)
+        with pytest.raises(serialize.SerializationError, match="subgroup"):
+            serialize.groth16_proof_from_bytes(mutant)
+        (bundle_mutant,) = self.substitutions(
+            bundle.to_bytes(), [bundle.proof.b], q
+        )
+        with pytest.raises(ValueError):
+            MatmulProofBundle.from_bytes(bundle_mutant)
+        assert verifier.verify_bytes(bundle_mutant) is False
+
+    def test_vk_beta_gamma_delta(self, material):
+        _, _, keypair, q = material
+        vk = keypair.vk
+        blob = serialize.groth16_vk_to_bytes(vk)
+        mutants = list(self.substitutions(
+            blob, [vk.beta_g2, vk.gamma_g2, vk.delta_g2], q
+        ))
+        assert len(mutants) == 3
+        for mutant in mutants:
+            with pytest.raises(serialize.SerializationError, match="subgroup"):
+                serialize.groth16_vk_from_bytes(mutant)
+
+    def test_keypair_g2_queries(self, material):
+        _, _, keypair, q = material
+        pk = keypair.pk
+        blob = serialize.groth16_keypair_to_bytes(keypair)
+        points = [pk.beta_g2, pk.delta_g2, *pk.b_g2_query]
+        mutants = list(self.substitutions(blob, points, q))
+        assert len(mutants) >= 3
+        for mutant in mutants:
+            with pytest.raises(serialize.SerializationError, match="subgroup"):
+                serialize.groth16_keypair_from_bytes(mutant)
+
+
 class TestVerifierArtifactFuzz:
     @pytest.fixture(scope="class")
     def artifact(self):

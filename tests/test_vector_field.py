@@ -2,17 +2,15 @@
 
 Every vectorized operation is checked against the scalar big-int oracle
 over random vectors *and* adversarial lanes (0, 1, p-1, unreduced >= p
-inputs, mixed batch lengths), for every engine available on this host
-(native C kernels and/or the numpy digit engine).  The end-to-end tests
-force `REPRO_FIELD_BACKEND` each way and require byte-identical Groth16
-and Spartan proofs.
+inputs, mixed batch lengths) through the native C kernels.  The
+end-to-end tests force `REPRO_FIELD_BACKEND` each way and require
+byte-identical Groth16 and Spartan proofs.
 
-Without numpy the vector backend is unavailable; the engine-parametrised
-tests then skip and the backend-selection tests assert the scalar
-degradation path.
+Without numpy or a C compiler the native kernels are unavailable; the
+engine-parametrised tests then skip and the backend-selection tests
+assert the scalar fallback.
 """
 
-import os
 import random
 import secrets
 
@@ -20,13 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field import vector
-from repro.field.prime_field import BN254_FR_MODULUS, batch_inv_mod, inv_mod
+from repro.field import _native, vector
+from repro.field.prime_field import BN254_FR_MODULUS
 from repro.field.ntt import clear_ntt_plan_cache, get_plan
 
 R = BN254_FR_MODULUS
 
-IMPLS = vector.available_impls()
+HAVE_NATIVE = vector.HAVE_NUMPY and _native.load() is not None
+needs_native = pytest.mark.skipif(
+    not HAVE_NATIVE, reason="native field kernels unavailable"
+)
 needs_numpy = pytest.mark.skipif(
     not vector.HAVE_NUMPY, reason="numpy not installed"
 )
@@ -58,9 +59,14 @@ def _vectors(rng, n):
 
 
 impl_param = pytest.mark.parametrize(
-    "impl", IMPLS if IMPLS else [pytest.param(None, marks=pytest.mark.skip(
-        reason="no vector engine available"))]
+    "impl", [pytest.param("native", marks=needs_native)]
 )
+
+
+def _engage(impl):
+    """Resolve ``auto`` and require that it engaged ``impl``."""
+    vector.set_backend("auto")
+    assert vector.get_backend() == impl
 
 
 @needs_numpy
@@ -78,7 +84,7 @@ class TestConversions:
 class TestElementwiseOps:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_add_sub_mul(self, impl, n, rng):
-        vector.set_backend("vector", impl)
+        _engage(impl)
         a = _vectors(rng, n)
         b = list(reversed(_vectors(rng, n)))
         al, bl = vector.to_limbs(a), vector.to_limbs(b)
@@ -94,14 +100,14 @@ class TestElementwiseOps:
 
     @pytest.mark.parametrize("s", [0, 1, R - 1, 7, R + 5])
     def test_mul_scalar(self, impl, s, rng):
-        vector.set_backend("vector", impl)
+        _engage(impl)
         a = _vectors(rng, 100)
         got = vector.from_limbs(vector.vec_mul_scalar(vector.to_limbs(a), s))
         assert got == [x % R * (s % R) % R for x in a]
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_mul_prepared(self, impl, n, rng):
-        vector.set_backend("vector", impl)
+        _engage(impl)
         a = _vectors(rng, n)
         w = list(reversed(_vectors(rng, n)))
         prep = vector.prepare_multipliers(w)
@@ -110,30 +116,14 @@ class TestElementwiseOps:
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_vec_sum(self, impl, n, rng):
-        vector.set_backend("vector", impl)
+        _engage(impl)
         a = _vectors(rng, n)
         assert vector.vec_sum(vector.to_limbs(a)) == sum(v % R for v in a) % R
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 255])
-    def test_batch_inv(self, impl, n, rng):
-        vector.set_backend("vector", impl)
-        a = [rng.randrange(1, R) for _ in range(n)]
-        a[0] = 1
-        if n > 2:
-            a[2] = R - 1
-        got = vector.from_limbs(vector.batch_inv(vector.to_limbs(a)))
-        assert got == batch_inv_mod(a, R)
-
-    def test_batch_inv_zero_lane_raises(self, impl):
-        vector.set_backend("vector", impl)
-        arr = vector.to_limbs([3, 0, 5])
-        with pytest.raises(ZeroDivisionError):
-            vector.batch_inv(arr)
 
     @given(vals=st.lists(elems, min_size=1, max_size=40))
     @settings(max_examples=10)
     def test_property_mul_matches_scalar(self, impl, vals):
-        vector.set_backend("vector", impl)
+        _engage(impl)
         al = vector.to_limbs(vals)
         sq = vector.from_limbs(vector.vec_mul(al, al))
         assert sq == [v * v % R for v in vals]
@@ -149,7 +139,7 @@ class TestNTTEquivalence:
         plan = get_plan(n)
         want_f = plan.ntt(vals)
         want_i = plan.ntt(vals, inverse=True)
-        vector.set_backend("vector", impl)
+        _engage(impl)
         assert plan.ntt(vals) == want_f
         assert plan.ntt(vals, inverse=True) == want_i
 
@@ -161,7 +151,7 @@ class TestNTTEquivalence:
         plan = get_plan(n)
         want_ev = plan.coset_ntt(coeffs, 7)
         want_back = plan.coset_intt(want_ev, 7)
-        vector.set_backend("vector", impl)
+        _engage(impl)
         got_ev = plan.coset_ntt(coeffs, 7)
         assert got_ev == want_ev
         assert plan.coset_intt(got_ev, 7) == want_back
@@ -169,7 +159,7 @@ class TestNTTEquivalence:
 
     def test_below_floor_uses_scalar_path(self, impl):
         # Tiny transforms must bypass the vector engine entirely.
-        vector.set_backend("vector", impl)
+        _engage(impl)
         clear_ntt_plan_cache()
         plan = get_plan(4)
         assert plan.vec_state() is None
@@ -197,26 +187,24 @@ class TestCSRMatvec:
 
         return R1CSInstance(wires, 1, mk(), mk(), mk())
 
-    def test_matvec_matches_scalar(self, impl, rng):
+    def test_matvec_matches_scalar(self, impl, rng, monkeypatch):
         inst = self._instance(rng)
         z = _vectors(rng, 128)
         vector.set_backend("scalar")
         want = [inst.matvec(w, z) for w in "ABC"]
         want_products = list(inst.eval_products(z))
-        vector.set_backend("vector", impl)
+        _engage(impl)
         inst.invalidate_flat_cache()
         # Force the kernel on regardless of instance size.
-        old = dict(vector.MATVEC_MIN_TERMS)
-        vector.MATVEC_MIN_TERMS[impl] = 1
+        monkeypatch.setattr(vector, "MATVEC_MIN_TERMS", 1)
         try:
             assert [inst.matvec(w, z) for w in "ABC"] == want
             assert list(inst.eval_products(z)) == want_products
             assert inst.flat("A").vec_kernel() is not None
         finally:
-            vector.MATVEC_MIN_TERMS.update(old)
             inst.invalidate_flat_cache()
 
-    def test_is_satisfied_both_ways(self, impl, rng):
+    def test_is_satisfied_both_ways(self, impl, rng, monkeypatch):
         from repro.r1cs import LC, ConstraintSystem
 
         cs = ConstraintSystem()
@@ -228,14 +216,12 @@ class TestCSRMatvec:
         good = cs.assignment()
         bad = list(good)
         bad[-1] = (bad[-1] + 1) % R
-        vector.set_backend("vector", impl)
-        old = dict(vector.MATVEC_MIN_TERMS)
-        vector.MATVEC_MIN_TERMS[impl] = 1
+        _engage(impl)
+        monkeypatch.setattr(vector, "MATVEC_MIN_TERMS", 1)
         try:
             assert inst.is_satisfied(good)
             assert not inst.is_satisfied(bad)
         finally:
-            vector.MATVEC_MIN_TERMS.update(old)
             inst.invalidate_flat_cache()
         vector.set_backend("scalar")
         assert inst.is_satisfied(good)
@@ -247,7 +233,9 @@ class TestSumcheckEquivalence:
     @pytest.mark.parametrize("kernel,num_tables", [
         ("prod2", 2), ("prod3", 3), ("eq_abc", 4),
     ])
-    def test_rounds_match_scalar(self, impl, kernel, num_tables, rng):
+    def test_rounds_match_scalar(
+        self, impl, kernel, num_tables, rng, monkeypatch
+    ):
         from repro.spartan.sumcheck_fast import _KERNELS, sumcheck_prove
         from repro.spartan.transcript import Transcript
 
@@ -267,16 +255,12 @@ class TestSumcheckEquivalence:
             [list(t) for t in tables], None, degree, claim, Transcript(),
             b"t", kernel=kernel,
         )
-        vector.set_backend("vector", impl)
-        old = dict(vector.SUMCHECK_MIN_HALF)
-        vector.SUMCHECK_MIN_HALF[impl] = 1
-        try:
-            got = sumcheck_prove(
-                [list(t) for t in tables], None, degree, claim, Transcript(),
-                b"t", kernel=kernel,
-            )
-        finally:
-            vector.SUMCHECK_MIN_HALF.update(old)
+        _engage(impl)
+        monkeypatch.setattr(vector, "SUMCHECK_MIN_HALF", 1)
+        got = sumcheck_prove(
+            [list(t) for t in tables], None, degree, claim, Transcript(),
+            b"t", kernel=kernel,
+        )
         assert got[0].round_polys == want[0].round_polys
         assert got[1] == want[1]
         assert got[2] == want[2]
@@ -289,37 +273,77 @@ class TestBackendSelection:
         with pytest.raises(ValueError):
             vector.get_backend()
 
+    def test_env_vector_value_retired(self, monkeypatch):
+        # ``vector`` used to name the engine family; ``auto`` now covers it.
+        monkeypatch.setenv("REPRO_FIELD_BACKEND", "vector")
+        vector.set_backend(None)
+        with pytest.raises(ValueError):
+            vector.get_backend()
+        with pytest.raises(ValueError):
+            vector.set_backend("vector")
+
     def test_env_scalar_forces_scalar(self, monkeypatch):
         monkeypatch.setenv("REPRO_FIELD_BACKEND", "scalar")
         vector.set_backend(None)
         assert vector.get_backend() == "scalar"
-        assert vector.active_impl() is None
+        assert not vector.enabled()
 
     def test_env_auto_prefers_vector_when_available(self, monkeypatch):
         monkeypatch.setenv("REPRO_FIELD_BACKEND", "auto")
         vector.set_backend(None)
-        if IMPLS:
-            assert vector.get_backend() == "vector"
-            assert vector.active_impl() == IMPLS[0]
-        else:
-            assert vector.get_backend() == "scalar"
+        assert vector.enabled() == HAVE_NATIVE
+        assert vector.get_backend() == ("native" if HAVE_NATIVE else "scalar")
 
-    def test_vector_degrades_to_scalar_without_engines(self, monkeypatch):
-        if IMPLS:
-            pytest.skip("vector engines available on this host")
-        vector.set_backend("vector")
+    @pytest.mark.slow
+    def test_auto_degrades_to_scalar_without_native(self, monkeypatch):
+        """A host where the C kernels do not load (no compiler) runs the
+        scalar big-int paths under ``auto``, and its Groth16 and Spartan
+        bundles are byte-identical to the native tier's."""
+        monkeypatch.setenv("REPRO_FIELD_BACKEND", "auto")
+        # Every vector path engages in the native runs below.
+        for floor in ("NTT_MIN", "MATVEC_MIN_TERMS", "SUMCHECK_MIN_HALF"):
+            monkeypatch.setattr(vector, floor, 1)
+        load = _native.load
+        monkeypatch.setattr(_native, "load", lambda: None)
+        vector.set_backend(None)
         assert vector.get_backend() == "scalar"
+        assert not vector.enabled()
+        if not HAVE_NATIVE:
+            pytest.skip("no native tier to compare the fallback bundles with")
 
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError):
-            vector.set_backend("vector", "quantum")
+        from repro.core import KeyStore, MatmulProofBundle, MatmulProver
 
-    @needs_numpy
-    def test_native_pin_respected(self, monkeypatch):
-        if "numpy" not in IMPLS:
-            pytest.skip("numpy engine unavailable")
-        vector.set_backend("vector", "numpy")
-        assert vector.active_impl() == "numpy"
+        x = [[(i * 7 + j * 3) % 11 - 5 for j in range(8)] for i in range(4)]
+        w = [[(i * 5 + j) % 13 - 6 for j in range(4)] for i in range(8)]
+        # Seed every source of prover randomness: the Groth16 rng, the
+        # Hyrax blinders and the Spartan input-commitment salt.
+        prng = random.Random()
+        monkeypatch.setattr(secrets, "randbits", prng.getrandbits)
+        monkeypatch.setattr(secrets, "token_bytes", prng.randbytes)
+        keystore = KeyStore()
+        provers = [
+            MatmulProver(
+                4, 8, 4, backend=backend, keystore=keystore,
+                rng=lambda: prng.getrandbits(256),
+            )
+            for backend in ("groth16", "spartan")
+        ]
+        provers[0].export_verifier()  # key generation, outside the runs
+
+        def bundles():
+            out = []
+            for prover in provers:
+                prng.seed(2024)
+                out.append(prover.prove(x, w).to_bytes())
+            return out
+
+        fallback = bundles()
+        monkeypatch.setattr(_native, "load", load)
+        vector.set_backend(None)
+        assert vector.enabled()
+        assert bundles() == fallback
+        for prover, blob in zip(provers, fallback):
+            assert prover.verify(MatmulProofBundle.from_bytes(blob))
 
 
 def _mul_chain_circuit(n_muls=70):
@@ -334,7 +358,6 @@ def _mul_chain_circuit(n_muls=70):
 
 
 @pytest.mark.slow
-@needs_numpy
 class TestProofByteIdentity:
     """Proof bytes must not depend on the field backend."""
 
@@ -349,8 +372,8 @@ class TestProofByteIdentity:
         srng = random.Random(42)
         kp = setup(inst, rng=lambda: srng.getrandbits(256))
 
-        def make(backend, impl=None):
-            vector.set_backend(backend, impl)
+        def make(backend):
+            vector.set_backend(backend)
             inst.invalidate_flat_cache()
             prng = random.Random(1234)
             pf = prove(kp.pk, inst, assignment, rng=lambda: prng.getrandbits(256))
@@ -358,9 +381,8 @@ class TestProofByteIdentity:
 
         ref, pf = make("scalar")
         assert verify(kp.vk, cs.public_inputs(), pf)
-        for impl in IMPLS:
-            got, _ = make("vector", impl)
-            assert got == ref, f"{impl} proof differs from scalar"
+        got, _ = make("auto")
+        assert got == ref, "auto proof differs from scalar"
 
     def test_spartan_byte_identical(self, monkeypatch):
         import repro.serialize as serialize
@@ -370,8 +392,11 @@ class TestProofByteIdentity:
         inst = cs.specialize(1)
         assignment = cs.assignment()
 
-        def make(backend, impl=None):
-            vector.set_backend(backend, impl)
+        # Let the sumcheck rounds reach the vector kernels too.
+        monkeypatch.setattr(vector, "SUMCHECK_MIN_HALF", 1)
+
+        def make(backend):
+            vector.set_backend(backend)
             inst.invalidate_flat_cache()
             prng = random.Random(777)
             monkeypatch.setattr(
@@ -382,15 +407,14 @@ class TestProofByteIdentity:
             )
 
         ref = make("scalar")
-        for impl in IMPLS:
-            assert make("vector", impl) == ref, f"{impl} differs from scalar"
+        assert make("auto") == ref, "auto differs from scalar"
         vector.set_backend("scalar")
         monkeypatch.undo()
         pf = serialize.spartan_proof_from_bytes(ref)
         assert verify(inst, cs.public_inputs(), pf, Transcript())
 
     def test_env_backend_forced_each_way(self, monkeypatch):
-        """The documented knob itself: REPRO_FIELD_BACKEND=scalar|vector."""
+        """The documented knob itself: REPRO_FIELD_BACKEND=scalar|auto."""
         import repro.serialize as serialize
         from repro.spartan import Transcript, prove
 
@@ -398,7 +422,7 @@ class TestProofByteIdentity:
         inst = cs.specialize(1)
         assignment = cs.assignment()
         out = {}
-        for mode in ("scalar", "vector"):
+        for mode in ("scalar", "auto"):
             monkeypatch.setenv("REPRO_FIELD_BACKEND", mode)
             vector.set_backend(None)  # re-resolve from the environment
             inst.invalidate_flat_cache()
@@ -409,4 +433,4 @@ class TestProofByteIdentity:
             out[mode] = serialize.spartan_proof_to_bytes(
                 prove(inst, assignment, Transcript())
             )
-        assert out["scalar"] == out["vector"]
+        assert out["scalar"] == out["auto"]
